@@ -4,15 +4,15 @@
 //! privacy-preserving *k*-means protocol (paper §3.8 / §10.4): additively
 //! homomorphic ElGamal needs modular exponentiation over a prime field whose
 //! size is configurable from test-sized 64-bit primes up to 2048-bit MODP
-//! groups. It is deliberately dependency-free (only `rand` for sampling) and
-//! favours clarity and auditability over raw speed: schoolbook
-//! multiplication, Knuth Algorithm D division, and a 4-bit windowed
-//! square-and-multiply exponentiation are fast enough for every experiment in
-//! the paper while remaining reviewable.
+//! groups. It is dependency-free (only `rand` for sampling). [`Big`] does
+//! the general-purpose arithmetic with schoolbook multiplication and Knuth
+//! Algorithm D division; exponentiation, the cost that dominates the
+//! protocol, runs on [`Montgomery`] multiplication over fixed-width `u64`
+//! limbs with a 4-bit window, and allocates nothing per multiply.
 //!
 //! The central type is [`Big`], an unsigned big integer stored as
-//! little-endian `u32` limbs. Modular helpers live in [`modular`], primality
-//! testing and prime generation in [`prime`].
+//! little-endian `u32` limbs. Modular helpers and the [`Montgomery`] context
+//! live in [`modular`], primality testing and prime generation in [`prime`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,5 +22,5 @@ pub mod modular;
 pub mod prime;
 
 pub use big::Big;
-pub use modular::{mod_add, mod_inv, mod_mul, mod_pow, mod_sub};
+pub use modular::{mod_add, mod_inv, mod_mul, mod_pow, mod_sub, Montgomery};
 pub use prime::{gen_prime, gen_safe_prime, is_prime};

@@ -2,10 +2,14 @@
 //!
 //! These pin the algebraic laws the crypto layer depends on: ring axioms,
 //! the division identity, shift/multiply equivalence, and the group laws of
-//! modular exponentiation.
+//! modular exponentiation. The Montgomery exponentiation is pinned to a
+//! plain square-and-multiply oracle on random moduli up to 2048 bits and on
+//! the moduli of every baked `sheriff-crypto` group.
 
 use proptest::prelude::*;
-use sheriff_bigint::{mod_inv, mod_mul, mod_pow, Big};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use sheriff_bigint::{mod_inv, mod_mul, mod_pow, Big, Montgomery};
 
 fn big_from_bytes(bytes: &[u8]) -> Big {
     // Interpret arbitrary bytes as a hex-ish number by mapping each byte to a
@@ -20,6 +24,93 @@ fn big_from_bytes(bytes: &[u8]) -> Big {
 
 fn arb_big() -> impl Strategy<Value = Big> {
     proptest::collection::vec(any::<u8>(), 0..40).prop_map(|v| big_from_bytes(&v))
+}
+
+/// Plain square-and-multiply over `Big::mul` and `Big::rem`: the oracle
+/// the Montgomery path must agree with.
+fn oracle_pow(base: &Big, exp: &Big, m: &Big) -> Big {
+    if m.is_one() {
+        return Big::zero();
+    }
+    let base = base.rem(m);
+    let mut acc = Big::one();
+    for i in (0..exp.bit_len()).rev() {
+        acc = acc.mul(&acc).rem(m);
+        if exp.bit(i) {
+            acc = acc.mul(&base).rem(m);
+        }
+    }
+    acc
+}
+
+/// The moduli of `sheriff-crypto`'s baked groups: the 64-, 128-, 256- and
+/// 512-bit safe primes and RFC 3526 group 14.
+const BAKED_MODULI: [&str; 5] = [
+    "a1c71aa2e828476b",
+    "84221bf2e9f5d7bbe3c984f439570fc7",
+    "c73f13a146a14dc8e3766c64650a0df40198173114a3cfc87e21e6999bb0aec7",
+    concat!(
+        "a561d0102b2242db157e15bb99cd00d3d6b66850af04101aceb1ec4b40537750",
+        "8b070cfd5c3bdf18cfc25f6b06f2dd72ef3a89470c08f47a944526d6ae8e2a0b",
+    ),
+    concat!(
+        "ffffffffffffffffc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74",
+        "020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f1437",
+        "4fe1356d6d51c245e485b576625e7ec6f44c42e9a637ed6b0bff5cb6f406b7ed",
+        "ee386bfb5a899fa5ae9f24117c4b1fe649286651ece45b3dc2007cb8a163bf05",
+        "98da48361c55d39a69163fa8fd24cf5f83655d23dca3ad961c62f356208552bb",
+        "9ed529077096966d670c354e4abc9804f1746c08ca18217c32905e462e36ce3b",
+        "e39e772c180e86039b2783a2ec07a28fb5c55df06f4c52c9de2bcbf695581718",
+        "3995497cea956ae515d2261898fa051015728e5a8aacaa68ffffffffffffffff",
+    ),
+];
+
+#[test]
+fn modpow_edge_cases_match_oracle() {
+    let m =
+        Big::from_hex("c73f13a146a14dc8e3766c64650a0df40198173114a3cfc87e21e6999bb0aec7").unwrap();
+    let e = Big::from_u64(0x1234_5678_9abc);
+    let cases = [
+        (m.add(&Big::from_u64(5)), e.clone()),
+        (m.mul(&m).add(&Big::from_u64(3)), e.clone()),
+        (m.clone(), e.clone()),
+        (Big::zero(), e.clone()),
+        (Big::from_u64(7), Big::zero()),
+        (Big::zero(), Big::zero()),
+    ];
+    for (base, exp) in &cases {
+        assert_eq!(
+            mod_pow(base, exp, &m),
+            oracle_pow(base, exp, &m),
+            "{base:?}^{exp:?}"
+        );
+    }
+    for (base, exp) in &cases {
+        assert_eq!(mod_pow(base, exp, &Big::one()), Big::zero());
+    }
+    assert!(Montgomery::new(&Big::one()).is_none());
+    assert!(Montgomery::new(&Big::from_u64(1 << 40)).is_none());
+}
+
+#[test]
+fn modpow_matches_oracle_on_baked_groups() {
+    let mut rng = StdRng::seed_from_u64(0x6261_6b65);
+    for hex in BAKED_MODULI {
+        let p = Big::from_hex(hex).unwrap();
+        let ctx = Montgomery::new(&p).unwrap();
+        for _ in 0..2 {
+            let base = Big::random_below(&mut rng, &p);
+            let exp = Big::random_below(&mut rng, &p);
+            let want = oracle_pow(&base, &exp, &p);
+            assert_eq!(mod_pow(&base, &exp, &p), want, "p={hex}");
+            assert_eq!(ctx.pow(&base, &exp), want, "p={hex}");
+        }
+        for _ in 0..32 {
+            let a = Big::random_below(&mut rng, &p);
+            let b = Big::random_below(&mut rng, &p);
+            assert_eq!(ctx.mul(&a, &b), mod_mul(&a, &b, &p), "p={hex}");
+        }
+    }
 }
 
 fn arb_big_nonzero() -> impl Strategy<Value = Big> {
@@ -115,5 +206,26 @@ proptest! {
         let a = Big::from_u64(a);
         let inv = mod_inv(&a, &p).unwrap();
         prop_assert_eq!(mod_mul(&a, &inv, &p), Big::one());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn modpow_matches_oracle_on_random_moduli(bits in 64usize..=2048, seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let m = Big::random_bits(&mut rng, bits);
+        let m = if m.is_even() { m.add(&Big::one()) } else { m };
+        // Bases up to 2^8·m exercise the reduction of out-of-range input;
+        // exponents span up to 512 bits to keep the oracle affordable.
+        let base = Big::random_below(&mut rng, &m.shl(8));
+        let exp = Big::random_below(&mut rng, &Big::one().shl(bits.min(512)));
+        prop_assert_eq!(mod_pow(&base, &exp, &m), oracle_pow(&base, &exp, &m));
+        let ctx = Montgomery::new(&m).unwrap();
+        prop_assert_eq!(ctx.mul(&base, &exp), base.mul(&exp).rem(&m));
+        // The even neighbour takes the plain step inside the same loop.
+        let even = m.add(&Big::one());
+        prop_assert_eq!(mod_pow(&base, &exp, &even), oracle_pow(&base, &exp, &even));
     }
 }

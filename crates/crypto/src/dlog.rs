@@ -66,7 +66,7 @@ impl DlogTable {
         for i in 0..=giants {
             if let Some(&j) = self.baby.get(&gamma) {
                 let m = i * self.t + j;
-                if m < self.bound.max(self.t) {
+                if m < self.bound {
                     return Some(m);
                 }
                 return None;
@@ -117,6 +117,9 @@ mod tests {
         let gp = GroupParams::test_64();
         let table = DlogTable::build(&gp, 1);
         assert_eq!(table.solve(&Big::one()), Some(0));
+        assert_eq!(table.solve(&gp.g), None, "g¹ is outside [0, 1)");
+        let table = DlogTable::build(&gp, 2);
+        assert_eq!(table.solve(&gp.g), Some(1));
     }
 
     #[test]

@@ -4,10 +4,13 @@
 //! safe prime `p = 2q + 1`. All pre-baked groups use `g = 4 = 2²`, a
 //! quadratic residue and hence a generator of the order-`q` subgroup
 //! (for the RFC 3526 group the standardized generator 2 is itself squared).
+//!
+//! Every group operation runs on the [`Montgomery`] context of `p`, built
+//! once with the parameters.
 
 use rand::Rng;
 
-use sheriff_bigint::{gen_safe_prime, mod_inv, mod_mul, mod_pow, Big};
+use sheriff_bigint::{gen_safe_prime, mod_mul, Big, Montgomery};
 
 /// Parameters of a prime-order DDH group: subgroup of `Z_p^*` of order `q`
 /// where `p = 2q + 1` is a safe prime and `g` generates the subgroup.
@@ -19,6 +22,8 @@ pub struct GroupParams {
     pub q: Big,
     /// Generator of the order-`q` subgroup.
     pub g: Big,
+    /// Montgomery context of `p`.
+    mont: Montgomery,
 }
 
 /// 64-bit safe-prime group — *test only*, trivially breakable.
@@ -42,14 +47,15 @@ const P_2048: &str = concat!(
 );
 
 impl GroupParams {
+    fn new(p: Big, g: Big) -> Self {
+        let q = p.sub(&Big::one()).shr(1);
+        let mont = Montgomery::new(&p).expect("a safe prime is odd");
+        GroupParams { p, q, g, mont }
+    }
+
     fn from_hex_p(hex: &str) -> Self {
         let p = Big::from_hex(hex).expect("valid baked-in hex prime");
-        let q = p.sub(&Big::one()).shr(1);
-        GroupParams {
-            p,
-            q,
-            g: Big::from_u64(4),
-        }
+        Self::new(p, Big::from_u64(4))
     }
 
     /// 64-bit test group. Fast; cryptographically worthless.
@@ -82,14 +88,13 @@ impl GroupParams {
     /// sizes; prefer the pre-baked groups.
     pub fn generate<R: Rng + ?Sized>(rng: &mut R, bits: usize) -> Self {
         let p = gen_safe_prime(rng, bits);
-        let q = p.sub(&Big::one()).shr(1);
         // Square small candidates until we find a generator (any quadratic
         // residue != 1 generates the full order-q subgroup since q is prime).
         let mut h = Big::from_u64(2);
         loop {
             let g = mod_mul(&h, &h, &p);
             if !g.is_one() {
-                return GroupParams { p, q, g };
+                return Self::new(p, g);
             }
             h = h.add(&Big::one());
         }
@@ -111,13 +116,13 @@ impl GroupParams {
 
     /// Group operation: `a * b mod p`.
     pub fn mul(&self, a: &Big, b: &Big) -> Big {
-        mod_mul(a, b, &self.p)
+        self.mont.mul(a, b)
     }
 
     /// `base^e mod p`. Exponents are reduced mod `q` by the caller when they
     /// may exceed the subgroup order (all subgroup elements have order `q`).
     pub fn pow(&self, base: &Big, e: &Big) -> Big {
-        mod_pow(base, e, &self.p)
+        self.mont.pow(base, e)
     }
 
     /// `g^e mod p`.
@@ -125,9 +130,14 @@ impl GroupParams {
         self.pow(&self.g, e)
     }
 
-    /// Multiplicative inverse in `Z_p^*`.
+    /// Multiplicative inverse in `Z_p^*`, by Fermat: `a^(p-2)`.
+    ///
+    /// # Panics
+    /// If `a ≡ 0 (mod p)`.
     pub fn inv(&self, a: &Big) -> Big {
-        mod_inv(a, &self.p).expect("element of Z_p^* is invertible")
+        let inv = self.pow(a, &self.p.sub(&Big::from_u64(2)));
+        assert!(!inv.is_zero(), "element of Z_p^* is invertible");
+        inv
     }
 
     /// `a / b mod p`.

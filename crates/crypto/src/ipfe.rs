@@ -35,6 +35,12 @@ pub fn derive_function_key(sk: &SecretKey, s: &[i64]) -> Big {
 /// Evaluates `g^{c·s}` from a ciphertext of `c`, the function vector `s`,
 /// and its function key `f`.
 ///
+/// Each `β_i` is raised to `|s_i|`, never to the ~|q|-bit `q − |s_i|` that
+/// stands for a negative entry: negative terms join `α^f` in the
+/// denominator, which costs one inverse. Equal to `Π β_i^{s_i mod q} / α^f`
+/// for ciphertext components in the order-`q` subgroup, which is every
+/// ciphertext [`crate::elgamal`] produces.
+///
 /// # Panics
 /// If dimensions disagree.
 pub fn eval_inner_product(params: &GroupParams, ct: &Ciphertext, s: &[i64], f: &Big) -> Big {
@@ -44,11 +50,18 @@ pub fn eval_inner_product(params: &GroupParams, ct: &Ciphertext, s: &[i64], f: &
         "function vector dimension mismatch"
     );
     let mut num = Big::one();
-    for (si, beta) in s.iter().zip(&ct.betas) {
-        let e = params.exponent_from_i64(*si);
-        num = params.mul(&num, &params.pow(beta, &e));
+    let mut denom = params.pow(&ct.alpha, f);
+    for (&si, beta) in s.iter().zip(&ct.betas) {
+        if si == 0 {
+            continue;
+        }
+        let term = params.pow(beta, &Big::from_u64(si.unsigned_abs()));
+        if si > 0 {
+            num = params.mul(&num, &term);
+        } else {
+            denom = params.mul(&denom, &term);
+        }
     }
-    let denom = params.pow(&ct.alpha, f);
     params.div(&num, &denom)
 }
 

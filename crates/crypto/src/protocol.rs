@@ -140,10 +140,11 @@ pub fn decrypt_centroid(
 ) -> Option<Vec<u64>> {
     assert!(cardinality > 0, "decrypt_centroid: empty cluster");
     let gp = &sk.params;
+    // β_i / α^{x_i} = β_i · (α⁻¹)^{x_i}: one inverse for the whole cluster.
+    let alpha_inv = gp.inv(&aggregate.alpha);
     let mut centroid = Vec::with_capacity(aggregate.dims());
     for (i, beta) in aggregate.betas.iter().enumerate() {
-        let mask = gp.pow(&aggregate.alpha, &sk.x[key_offset + i]);
-        let gamma = gp.div(beta, &mask);
+        let gamma = gp.mul(beta, &gp.pow(&alpha_inv, &sk.x[key_offset + i]));
         let sum = table.solve(&gamma)?;
         // Round-to-nearest division keeps centroids on the quantized grid.
         centroid.push((sum + cardinality / 2) / cardinality);
