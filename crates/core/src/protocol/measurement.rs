@@ -19,8 +19,9 @@ use crate::protocol::{
 use crate::records::{PriceCheck, PriceObservation, VantageKind};
 
 /// Observable outcomes the driver may turn into telemetry. The state
-/// machine stays instrumentation-free; the DES adapter maps these onto
-/// its counters/histograms/spans, the TCP adapter ignores most of them.
+/// machine stays instrumentation-free; the driver's telemetry applier
+/// (beside [`crate::protocol::Node`]) maps these onto counters,
+/// histograms and spans on every backend.
 #[derive(Clone, Debug, PartialEq)]
 pub enum MeasEvent {
     /// A proxy reply arrived in time and was folded into the job.
@@ -614,6 +615,11 @@ impl MeasurementProto {
         if let ProtoMsg::StoreCheck { job, .. } = msg {
             self.finish_job(now_ms, *job, out, events);
         }
+    }
+
+    /// This server's index in the Coordinator's server list.
+    pub fn index(&self) -> usize {
+        self.index
     }
 
     /// Open (unfinished) jobs — the model checker's quiescence invariant

@@ -6,11 +6,13 @@
 //! typed input events (`on_message` / `on_timer`) and emits
 //! [`Output`] commands: `(destination, message)` pairs plus timer
 //! requests. The machines know nothing about the netsim simulator or
-//! TCP sockets; `core::system` drives them over the discrete-event
-//! simulator and `sheriff_wire::deploy` drives the *same* machines over
-//! framed TCP, so protocol semantics (job assignment, fan-out,
-//! pollution budgets, doppelganger redemption) cannot drift between
-//! backends.
+//! TCP sockets. One driver, [`Node`], routes frames, timer tokens and
+//! restart edges to them through their reliable [`Channel`]; the
+//! discrete-event adapter in `core::system`, the TCP reactor in
+//! `sheriff_wire` and the `sheriff-model` explorer all run that same
+//! `Node`, so protocol semantics (job assignment, fan-out, pollution
+//! budgets, doppelganger redemption, give-up and restart handling)
+//! cannot drift between them.
 //!
 //! Destinations are logical [`Address`]es; each backend owns the
 //! mapping to its transport endpoints (netsim `NodeId`s, socket
@@ -33,6 +35,7 @@ pub mod digest;
 mod ipc;
 mod measurement;
 pub mod messages;
+mod node;
 mod peer;
 pub mod reliable;
 
@@ -46,6 +49,7 @@ pub use digest::Digest;
 pub use ipc::IpcProto;
 pub use measurement::{MeasEvent, MeasurementParams, MeasurementProto};
 pub use messages::ProtoMsg;
+pub use node::{Machine, Node};
 pub use peer::{CompletedProtoCheck, PeerProto};
 pub use reliable::{Channel, ReliableConfig};
 
@@ -157,8 +161,8 @@ impl TimerKind {
     }
 
     /// Inverse of [`TimerKind::token`]. Unknown kinds map to `None`;
-    /// drivers must count those (`protocol.unknown_timers`) rather than
-    /// drop them silently.
+    /// [`Node::on_timer`] counts those (`protocol.unknown_timers`)
+    /// rather than dropping them silently.
     pub fn from_token(token: u64) -> Option<TimerKind> {
         if token == TIMER_HEARTBEAT {
             return Some(TimerKind::Heartbeat);

@@ -74,11 +74,13 @@ struct DedupWindow {
     seen: BTreeSet<u64>,
 }
 
+#[derive(Clone)]
 struct ChannelTelemetry {
     retransmits: Arc<Counter>,
     dedup_hits: Arc<Counter>,
     acks: Arc<Counter>,
     gave_up: Arc<Counter>,
+    unknown_timers: Arc<Counter>,
 }
 
 /// One node's end of the at-least-once layer. See the module docs.
@@ -133,8 +135,26 @@ impl Channel {
             dedup_hits: registry.counter("protocol.dedup_hits"),
             acks: registry.counter("protocol.acks"),
             gave_up: registry.counter("protocol.retransmit_gave_up"),
+            unknown_timers: registry.counter("protocol.unknown_timers"),
         });
         self
+    }
+
+    /// A fresh channel with this one's tuning and counters: one per node
+    /// of a deployment without resolving the counter names again.
+    pub fn sibling(&self) -> Channel {
+        Channel {
+            telemetry: self.telemetry.clone(),
+            ..Channel::new(self.cfg)
+        }
+    }
+
+    /// Counts a timer token its driver could not decode
+    /// (`protocol.unknown_timers`).
+    pub fn note_unknown_timer(&self) {
+        if let Some(t) = &self.telemetry {
+            t.unknown_timers.inc();
+        }
     }
 
     /// Sequence numbers still awaiting acknowledgement.

@@ -299,11 +299,12 @@ pub const ROUTING_TABLE: &[(&str, &[&str])] = &[
 /// only the sequence number.
 pub const TIMER_RELEASE_FNS: &[&str] = &["on_timer", "on_retransmit"];
 
-/// Per-file sanctions for timer variants the *drivers* release. The
+/// Per-file sanctions for timer variants the *driver* releases. The
 /// reliable channel arms `TimerKind::Retransmit(seq)` but never matches
-/// the variant itself: both backends' node shims match the token and
-/// call `Channel::on_retransmit(seq, …)` with the unpacked sequence —
-/// the give-up policy lives in the channel, the pattern lives in the
+/// the variant itself: the single node driver, `Node::on_timer` in
+/// `core/src/protocol/node.rs`, matches the token and calls
+/// `Channel::on_retransmit(seq, …)` with the unpacked sequence — the
+/// give-up policy lives in the channel, the pattern lives in the
 /// driver. Every entry here must name its driver-side match site; an
 /// unmatched arm anywhere else is an SL105 finding.
 pub const TIMER_DRIVER_HANDLED: &[(&str, &str)] =
@@ -365,8 +366,9 @@ pub const BLOCKING_ALLOWED_FNS: &[(&str, &str)] = &[];
 
 /// `(sink name, receiver ident)` pairs that are never blocking sinks.
 /// The reliable channel's sans-IO admission check is spelled
-/// `chan.accept(...)` on every driver — same name as the genuinely
-/// blocking `TcpListener::accept`. The receiver is the lexical token
+/// `chan.accept(...)` at its one driver site, `Node::on_frame` in
+/// `core/src/protocol/node.rs` — same name as the genuinely blocking
+/// `TcpListener::accept`. The receiver is the lexical token
 /// before the `.`, so the exemption stays narrow and auditable: an
 /// accept on any other receiver still counts.
 pub const BLOCKING_SINK_RECEIVER_EXEMPT: &[(&str, &str)] = &[("accept", "chan")];

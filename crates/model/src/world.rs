@@ -30,8 +30,9 @@ use sheriff_core::coordinator::{Coordinator, JobId, PeerId};
 use sheriff_core::db::DbCostModel;
 use sheriff_core::measurement::VantageMeta;
 use sheriff_core::protocol::{
-    Address, Channel, CoordinatorProto, DbEvent, DbProto, DefenseParams, Digest, MeasurementParams,
-    MeasurementProto, Output, ProtoMsg, ReliableConfig, Standing, TimerKind,
+    Address, Channel, CoordinatorProto, DbEvent, DbProto, DefenseBook, DefenseParams, Digest,
+    Machine, MeasurementParams, MeasurementProto, Node, Output, ProtoMsg, ReliableConfig, Standing,
+    TimerKind,
 };
 use sheriff_core::records::{PriceObservation, VantageKind};
 use sheriff_core::whitelist::Whitelist;
@@ -308,12 +309,9 @@ enum LadderCause {
 pub struct ModelWorld {
     cfg: WorldCfg,
     reliable: ReliableConfig,
-    coordinator: CoordinatorProto,
-    coord_chan: Channel,
-    measurement: MeasurementProto,
-    meas_chan: Channel,
-    db: Option<DbProto>,
-    db_chan: Channel,
+    coordinator: Node,
+    measurement: Node,
+    db: Option<Node>,
     ghost_chans: BTreeMap<u64, Channel>,
     /// Slot-stable in-flight messages (`None` = consumed).
     pub in_flight: Vec<Option<Envelope>>,
@@ -427,7 +425,10 @@ impl ModelWorld {
             defense,
         });
 
-        let db = (!integrated).then(|| DbProto::new(DbCostModel::dedicated()));
+        let db = (!integrated).then(|| {
+            let db = DbProto::new(DbCostModel::dedicated());
+            Node::new(Machine::Database(Box::new(db)), Channel::new(reliable))
+        });
         let crashable = if cfg.crash_budget > 0 {
             vec![Address::Database]
         } else {
@@ -465,12 +466,15 @@ impl ModelWorld {
         ModelWorld {
             cfg,
             reliable,
-            coordinator,
-            coord_chan: Channel::new(reliable),
-            measurement,
-            meas_chan: Channel::new(reliable),
+            coordinator: Node::new(
+                Machine::Coordinator(Box::new(coordinator)),
+                Channel::new(reliable),
+            ),
+            measurement: Node::new(
+                Machine::Measurement(Box::new(measurement)),
+                Channel::new(reliable),
+            ),
             db,
-            db_chan: Channel::new(reliable),
             ghost_chans: BTreeMap::new(),
             in_flight: vec![Some(stimulus)],
             timers: Vec::new(),
@@ -699,67 +703,78 @@ impl ModelWorld {
                 continue;
             };
             let live = match t.node {
-                Address::Coordinator => self.coord_chan.unacked_seqs().any(|s| s == seq),
-                Address::Server { .. } => self.meas_chan.unacked_seqs().any(|s| s == seq),
-                Address::Database => self.db_chan.unacked_seqs().any(|s| s == seq),
-                _ => false,
-            };
+                Address::Coordinator => Some(&self.coordinator),
+                Address::Server { .. } => Some(&self.measurement),
+                Address::Database => self.db.as_ref(),
+                _ => None,
+            }
+            .is_some_and(|n| n.channel().unacked_seqs().any(|s| s == seq));
             if !live {
                 *slot = None;
             }
         }
     }
 
-    fn deliver(&mut self, env: Envelope, findings: &mut Vec<Finding>) {
-        let mut out = Vec::new();
-        match env.to {
-            Address::Coordinator => {
-                let pre = self.checking.then(|| self.coordinator.defense.standings());
-                if let Some(msg) = self.coord_chan.accept(env.from, env.msg, &mut out) {
-                    let mut rng = StdRng::seed_from_u64(0xC0DE);
-                    self.coordinator
-                        .on_message(self.now_ms, env.from, msg, &mut rng, &mut out);
-                }
-                self.coord_chan.harden(&mut out);
-                if let Some(pre) = pre {
-                    let post = self.coordinator.defense.standings();
-                    check_ladder("coordinator", &pre, &post, &LadderCause::Scored, findings);
-                }
-                self.route(Address::Coordinator, out);
-            }
-            Address::Server { .. } => {
-                let pre = self.checking.then(|| self.measurement.defense.standings());
-                let mut events = Vec::new();
-                if let Some(msg) = self.meas_chan.accept(env.from, env.msg, &mut out) {
-                    if let ProtoMsg::DbAck { job } = &msg {
-                        self.acked_stores.insert(job.0);
-                    }
-                    self.measurement
-                        .on_message(self.now_ms, env.from, msg, &mut out, &mut events);
-                }
-                self.meas_chan.harden(&mut out);
-                if let Some(pre) = pre {
-                    let post = self.measurement.defense.standings();
-                    check_ladder("measurement", &pre, &post, &LadderCause::Scored, findings);
-                }
-                self.route(SERVER, out);
-            }
-            Address::Database => {
-                let mut events = Vec::new();
-                if let Some(msg) = self.db_chan.accept(env.from, env.msg, &mut out) {
-                    if let Some(db) = self.db.as_mut() {
-                        db.on_message(self.now_ms, env.from, msg, &mut out, &mut events);
-                    }
-                }
-                self.db_chan.harden(&mut out);
-                self.fold_db_events(&events, findings);
-                self.route(Address::Database, out);
-            }
-            Address::Peer { id } => self.ghost_deliver(id, env),
+    /// The protocol node living at `addr` (the Aggregator and IPCs have
+    /// none in model worlds).
+    fn node_mut(&mut self, addr: Address) -> Option<&mut Node> {
+        match addr {
+            Address::Coordinator => Some(&mut self.coordinator),
+            Address::Server { .. } => Some(&mut self.measurement),
+            Address::Database => self.db.as_mut(),
+            _ => None,
+        }
+    }
+
+    /// Runs one entry point of the node at `at` and wraps it in the
+    /// per-step checks: the Database's events fold into findings, the
+    /// node's defense ladder is compared across the step, and the
+    /// outputs are routed.
+    fn step(
+        &mut self,
+        at: Address,
+        cause: &LadderCause,
+        findings: &mut Vec<Finding>,
+        run: impl FnOnce(&mut Node, u64, &mut Vec<Output>),
+    ) {
+        let (now, checking) = (self.now_ms, self.checking);
+        let Some(node) = self.node_mut(at) else {
             // No Aggregator/IPC nodes in model worlds: absorb silently
             // (the DES would route these to real nodes).
-            _ => {}
+            return;
+        };
+        let pre = node
+            .defense()
+            .filter(|_| checking)
+            .map(DefenseBook::standings);
+        let mut out = Vec::new();
+        run(node, now, &mut out);
+        if checking {
+            fold_db_events(node.db_events(), findings);
         }
+        if let (Some(pre), Some(book)) = (pre, node.defense()) {
+            let name = if at == Address::Coordinator {
+                "coordinator"
+            } else {
+                "measurement"
+            };
+            check_ladder(name, &pre, &book.standings(), cause, findings);
+        }
+        self.route(at, out);
+    }
+
+    fn deliver(&mut self, env: Envelope, findings: &mut Vec<Finding>) {
+        if let Address::Peer { id } = env.to {
+            return self.ghost_deliver(id, env);
+        }
+        if let (Address::Server { .. }, Some(job)) = (env.to, db_ack(&env.msg)) {
+            // Channel-acked stores must survive any later crash. A
+            // duplicate DbAck names a job already recorded here.
+            self.acked_stores.insert(job);
+        }
+        self.step(env.to, &LadderCause::Scored, findings, |node, now, out| {
+            node.on_frame(now, env.from, env.msg, &mut model_rng(), out);
+        });
     }
 
     /// Ghost peers are channel-only environment actors: they ack and
@@ -806,125 +821,28 @@ impl ModelWorld {
     }
 
     fn fire(&mut self, entry: TimerEntry, findings: &mut Vec<Finding>) {
-        let mut out = Vec::new();
-        match entry.node {
-            Address::Coordinator => {
-                let pre = self.checking.then(|| self.coordinator.defense.standings());
-                if let TimerKind::Retransmit(seq) = entry.kind {
-                    if let Some((_, abandoned)) = self.coord_chan.on_retransmit(seq, &mut out) {
-                        if self.cfg.mutation != Some(Mutation::IgnoreAbandoned) {
-                            self.coordinator.on_send_abandoned(&abandoned);
-                        }
-                    }
-                } else {
-                    let mut rng = StdRng::seed_from_u64(0xC0DE);
-                    self.coordinator
-                        .on_timer(self.now_ms, entry.kind, &mut rng, &mut out);
-                }
-                self.coord_chan.harden(&mut out);
-                if let Some(pre) = pre {
-                    let post = self.coordinator.defense.standings();
-                    check_ladder(
-                        "coordinator",
-                        &pre,
-                        &post,
-                        &LadderCause::Timer(entry.kind),
-                        findings,
-                    );
-                }
-                self.route(Address::Coordinator, out);
+        if let (Some(Mutation::IgnoreAbandoned), TimerKind::Retransmit(seq)) =
+            (self.cfg.mutation, entry.kind)
+        {
+            // The seeded defect: the driver discards the abandoned
+            // payload instead of handing it to the machine.
+            let mut out = Vec::new();
+            if let Some(node) = self.node_mut(entry.node) {
+                let _ = node.channel_mut().on_retransmit(seq, &mut out);
             }
-            Address::Server { .. } => {
-                let pre = self.checking.then(|| self.measurement.defense.standings());
-                let mut events = Vec::new();
-                if let TimerKind::Retransmit(seq) = entry.kind {
-                    if let Some((_, abandoned)) = self.meas_chan.on_retransmit(seq, &mut out) {
-                        if self.cfg.mutation != Some(Mutation::IgnoreAbandoned) {
-                            self.measurement.on_send_abandoned(
-                                self.now_ms,
-                                &abandoned,
-                                &mut out,
-                                &mut events,
-                            );
-                        }
-                    }
-                } else {
-                    self.measurement
-                        .on_timer(self.now_ms, entry.kind, &mut out, &mut events);
-                }
-                self.meas_chan.harden(&mut out);
-                if let Some(pre) = pre {
-                    let post = self.measurement.defense.standings();
-                    check_ladder(
-                        "measurement",
-                        &pre,
-                        &post,
-                        &LadderCause::Timer(entry.kind),
-                        findings,
-                    );
-                }
-                self.route(SERVER, out);
-            }
-            Address::Database => {
-                let mut events = Vec::new();
-                if let TimerKind::Retransmit(seq) = entry.kind {
-                    // The Database machine keeps no per-send bookkeeping
-                    // (it acks after durability); mirror the DES driver.
-                    let _ = self.db_chan.on_retransmit(seq, &mut out);
-                } else if let Some(db) = self.db.as_mut() {
-                    db.on_timer(entry.kind, &mut out, &mut events);
-                }
-                self.db_chan.harden(&mut out);
-                self.fold_db_events(&events, findings);
-                self.route(Address::Database, out);
-            }
-            // Ghosts never arm timers.
-            _ => {}
+            self.route(entry.node, out);
+            return;
         }
+        let cause = LadderCause::Timer(entry.kind);
+        self.step(entry.node, &cause, findings, |node, now, out| {
+            node.on_timer(now, entry.kind.token(), &mut model_rng(), out);
+        });
     }
 
     fn crash_restart(&mut self, node: Address, findings: &mut Vec<Finding>) {
-        match node {
-            Address::Database => {
-                let pre = self.checking.then(|| self.coordinator.defense.standings());
-                self.db_chan.on_restart();
-                let mut events = Vec::new();
-                if let Some(db) = self.db.as_mut() {
-                    db.on_restart(&mut events);
-                }
-                self.fold_db_events(&events, findings);
-                if let Some(pre) = pre {
-                    check_ladder(
-                        "coordinator",
-                        &pre,
-                        &self.coordinator.defense.standings(),
-                        &LadderCause::Crash,
-                        findings,
-                    );
-                }
-            }
-            Address::Server { .. } => {
-                let pre = self.checking.then(|| self.measurement.defense.standings());
-                self.meas_chan.on_restart();
-                let mut out = Vec::new();
-                self.measurement.on_restart(self.now_ms, &mut out);
-                self.meas_chan.harden(&mut out);
-                if let Some(pre) = pre {
-                    check_ladder(
-                        "measurement",
-                        &pre,
-                        &self.measurement.defense.standings(),
-                        &LadderCause::Crash,
-                        findings,
-                    );
-                }
-                self.route(SERVER, out);
-            }
-            Address::Coordinator => {
-                self.coord_chan.on_restart();
-            }
-            _ => {}
-        }
+        self.step(node, &LadderCause::Crash, findings, |node, now, out| {
+            node.on_restart(now, out);
+        });
     }
 
     fn route(&mut self, from: Address, out: Vec<Output>) {
@@ -961,24 +879,6 @@ impl ModelWorld {
         }
     }
 
-    fn fold_db_events(&self, events: &[DbEvent], findings: &mut Vec<Finding>) {
-        if !self.checking {
-            return;
-        }
-        for e in events {
-            if let DbEvent::AckLossWindow { job } = e {
-                findings.push(Finding {
-                    rule: "db.ack_loss_window",
-                    detail: format!(
-                        "deferred DbDone for job {} found its record torn off by the crash; \
-                         no ack leaves (sender's retransmit re-stores it)",
-                        job.0
-                    ),
-                });
-            }
-        }
-    }
-
     // -- invariants -------------------------------------------------------
 
     fn timer_armed(&self, node: Address, kind: TimerKind) -> bool {
@@ -988,11 +888,43 @@ impl ModelWorld {
             .any(|t| t.node == node && t.kind == kind)
     }
 
+    fn coordinator_proto(&self) -> Option<&CoordinatorProto> {
+        match self.coordinator.machine() {
+            Machine::Coordinator(c) => Some(c),
+            _ => None,
+        }
+    }
+
+    fn measurement_proto(&self) -> Option<&MeasurementProto> {
+        match self.measurement.machine() {
+            Machine::Measurement(m) => Some(m),
+            _ => None,
+        }
+    }
+
+    fn db_proto(&self) -> Option<&DbProto> {
+        match self.db.as_ref()?.machine() {
+            Machine::Database(d) => Some(d),
+            _ => None,
+        }
+    }
+
+    /// Every protocol node with its address and report name.
+    fn nodes(&self) -> impl Iterator<Item = (Address, &'static str, &Node)> {
+        [
+            (Address::Coordinator, "coordinator", Some(&self.coordinator)),
+            (SERVER, "measurement", Some(&self.measurement)),
+            (Address::Database, "database", self.db.as_ref()),
+        ]
+        .into_iter()
+        .filter_map(|(addr, name, node)| Some((addr, name, node?)))
+    }
+
     /// Invariants checked at *every* state.
     fn check_state(&self, findings: &mut Vec<Finding>) {
         // Channel-acked stores survive recovery: once the Measurement
         // server has seen DbAck{job}, the record must be durable.
-        if let Some(db) = &self.db {
+        if let Some(db) = self.db_proto() {
             let stored: BTreeSet<u64> = db.stored_jobs().map(|j| j.0).collect();
             for job in &self.acked_stores {
                 if !stored.contains(job) {
@@ -1017,12 +949,8 @@ impl ModelWorld {
         }
         // Reliable sends: every unacked sequence number is covered by an
         // armed Retransmit timer on its own node.
-        for (node, chan) in [
-            (Address::Coordinator, &self.coord_chan),
-            (SERVER, &self.meas_chan),
-            (Address::Database, &self.db_chan),
-        ] {
-            for seq in chan.unacked_seqs() {
+        for (node, _, n) in self.nodes() {
+            for seq in n.channel().unacked_seqs() {
                 if !self.timer_armed(node, TimerKind::Retransmit(seq)) {
                     findings.push(Finding {
                         rule: "timer.obligation_leak",
@@ -1034,7 +962,10 @@ impl ModelWorld {
             }
         }
         // No duplicate observations per (kind, id) vantage, ever.
-        if self.measurement.has_duplicate_vantage() {
+        if self
+            .measurement_proto()
+            .is_some_and(MeasurementProto::has_duplicate_vantage)
+        {
             findings.push(Finding {
                 rule: "vantage.duplicate_observation",
                 detail: "a job folded in two observations from the same (kind, id) vantage".into(),
@@ -1046,25 +977,25 @@ impl ModelWorld {
     /// no armed timer): all transient bookkeeping must have drained.
     pub fn quiescence_findings(&self) -> Vec<Finding> {
         let mut findings = Vec::new();
-        if self.coordinator.open_origins() != 0 {
+        let origins = self
+            .coordinator_proto()
+            .map_or(0, CoordinatorProto::open_origins);
+        if origins != 0 {
             findings.push(Finding {
                 rule: "quiesce.leaked_state",
-                detail: format!(
-                    "coordinator holds {} job origin(s) at quiescence",
-                    self.coordinator.open_origins()
-                ),
+                detail: format!("coordinator holds {origins} job origin(s) at quiescence"),
             });
         }
-        if self.measurement.open_jobs() != 0 {
+        let open = self
+            .measurement_proto()
+            .map_or(0, MeasurementProto::open_jobs);
+        if open != 0 {
             findings.push(Finding {
                 rule: "quiesce.leaked_state",
-                detail: format!(
-                    "measurement holds {} open job(s) at quiescence",
-                    self.measurement.open_jobs()
-                ),
+                detail: format!("measurement holds {open} open job(s) at quiescence"),
             });
         }
-        if let Some(db) = &self.db {
+        if let Some(db) = self.db_proto() {
             let pending = db.pending_jobs().count();
             if pending != 0 {
                 findings.push(Finding {
@@ -1073,17 +1004,13 @@ impl ModelWorld {
                 });
             }
         }
-        for (name, chan) in [
-            ("coordinator", &self.coord_chan),
-            ("measurement", &self.meas_chan),
-            ("database", &self.db_chan),
-        ] {
-            if chan.in_flight() != 0 {
+        for (_, name, n) in self.nodes() {
+            let unacked = n.channel().in_flight();
+            if unacked != 0 {
                 findings.push(Finding {
                     rule: "quiesce.leaked_state",
                     detail: format!(
-                        "{name} channel still holds {} unacked send(s) at quiescence",
-                        chan.in_flight()
+                        "{name} channel still holds {unacked} unacked send(s) at quiescence"
                     ),
                 });
             }
@@ -1098,14 +1025,18 @@ impl ModelWorld {
     /// offsets (time-translation invariant), and the adversary budgets.
     pub fn digest(&self) -> u64 {
         let mut d = Digest::new();
-        self.coordinator.state_digest(&mut d);
-        self.coord_chan.state_digest(&mut d);
-        self.measurement.state_digest(&mut d);
-        self.meas_chan.state_digest(&mut d);
+        if let Some(c) = self.coordinator_proto() {
+            c.state_digest(&mut d);
+        }
+        self.coordinator.channel().state_digest(&mut d);
+        if let Some(m) = self.measurement_proto() {
+            m.state_digest(&mut d);
+        }
+        self.measurement.channel().state_digest(&mut d);
         d.write_bool(self.db.is_some());
-        if let Some(db) = &self.db {
+        if let (Some(db), Some(node)) = (self.db_proto(), &self.db) {
             db.state_digest(&mut d);
-            self.db_chan.state_digest(&mut d);
+            node.channel().state_digest(&mut d);
         }
         d.write_u64(self.ghost_chans.len() as u64);
         for (id, chan) in &self.ghost_chans {
@@ -1153,6 +1084,38 @@ impl ModelWorld {
             d.write_u64(*j);
         }
         d.finish()
+    }
+}
+
+/// The job a `DbAck` frame acknowledges, wrapped or bare.
+fn db_ack(msg: &ProtoMsg) -> Option<u64> {
+    let msg = match msg {
+        ProtoMsg::Reliable { inner, .. } => inner.as_ref(),
+        other => other,
+    };
+    match msg {
+        ProtoMsg::DbAck { job } => Some(job.0),
+        _ => None,
+    }
+}
+
+/// Every model world's Coordinator draws from the same fixed stream.
+fn model_rng() -> StdRng {
+    StdRng::seed_from_u64(0xC0DE)
+}
+
+fn fold_db_events(events: &[DbEvent], findings: &mut Vec<Finding>) {
+    for e in events {
+        if let DbEvent::AckLossWindow { job } = e {
+            findings.push(Finding {
+                rule: "db.ack_loss_window",
+                detail: format!(
+                    "deferred DbDone for job {} found its record torn off by the crash; \
+                     no ack leaves (sender's retransmit re-stores it)",
+                    job.0
+                ),
+            });
+        }
     }
 }
 

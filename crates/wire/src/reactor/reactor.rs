@@ -9,9 +9,8 @@
 //!    deadline passed; crashed nodes get theirs deferred to the restart
 //!    instant instead of fired;
 //! 3. **accept** — drain every listener's accept queue;
-//! 4. **inbound** — pump live connections; completed frames are
-//!    delivered through the reliable channel into the role machine
-//!    exactly as the worker threads did;
+//! 4. **inbound** — pump live connections; completed frames go to the
+//!    node's shared protocol driver (`sheriff_core::protocol::Node`);
 //! 5. **delayed sends** — release fault-injected extra latency whose
 //!    due time arrived (this replaces the old detached sleeper threads);
 //! 6. **outbound** — flush per-link write queues, one frame in flight
@@ -27,15 +26,17 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
 use std::time::Duration;
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 use sheriff_core::byzantine;
 use sheriff_core::protocol::{Address, Output, ProtoMsg, TimerKind};
 use sheriff_netsim::CodecAttack;
 
 use super::conn::{Inbound, InboundEvent, Outbound, OutboundEvent, RawOutbound, IDLE_CONN_MS};
-use super::shard::{drain_peer, NodeSlot, Role, ShardCtx};
+use super::shard::{drain_peer, NodeSlot, ShardCtx};
 use crate::proto::Envelope;
 
 /// Idle nap between readiness sweeps when nothing at all happened.
@@ -101,6 +102,9 @@ pub(crate) struct Reactor {
     /// the node borrow, so the steady-state event path reuses one
     /// allocation instead of building a fresh `Vec` per event.
     out_scratch: Vec<Output>,
+    /// The shard's RNG, handed to every node entry point; only the
+    /// Coordinator draws from it, so its draws match a private RNG.
+    rng: StdRng,
 }
 
 impl Reactor {
@@ -109,7 +113,6 @@ impl Reactor {
     /// exactly where the worker threads used to.
     pub(crate) fn new(ctx: ShardCtx, nodes: Vec<(NodeSlot, TcpListener)>) -> Reactor {
         let mut reactor = Reactor {
-            ctx,
             nodes: Vec::new(),
             timers: BinaryHeap::new(),
             seq: 0,
@@ -119,16 +122,20 @@ impl Reactor {
             raw: Vec::new(),
             depth_hiwater: 0,
             out_scratch: Vec::new(),
+            rng: StdRng::seed_from_u64(ctx.seed),
+            ctx,
         };
         for (slot, listener) in nodes {
             let _ = listener.set_nonblocking(true);
             let local = reactor.nodes.len();
-            match &slot.role {
-                Role::Measurement {
-                    beacon_every_ms, ..
-                } => reactor.push_timer(*beacon_every_ms, local, TimerKind::Heartbeat.token()),
-                Role::Coordinator { sweep_every_ms, .. } => {
-                    reactor.push_timer(*sweep_every_ms, local, TimerKind::CoordSweep.token());
+            match slot.me {
+                Address::Server { .. } => {
+                    let due = reactor.ctx.beacon_every_ms;
+                    reactor.push_timer(due, local, TimerKind::Heartbeat.token());
+                }
+                Address::Coordinator => {
+                    let due = reactor.ctx.sweep_every_ms;
+                    reactor.push_timer(due, local, TimerKind::CoordSweep.token());
                 }
                 _ => {}
             }
@@ -203,9 +210,8 @@ impl Reactor {
         }
     }
 
-    /// Enters/leaves crash windows. Leaving one is the restart edge:
-    /// state-intact restart for most roles, volatile-state loss for the
-    /// Database — byte-for-byte the worker-thread semantics.
+    /// Enters/leaves crash windows. Leaving one is the restart edge,
+    /// [`sheriff_core::protocol::Node::on_restart`].
     fn sync_crash_states(&mut self, now_ms: u64) -> usize {
         let Some(shim) = self.ctx.shim.clone() else {
             return 0;
@@ -231,32 +237,12 @@ impl Reactor {
                 if !node.slot.crashed {
                     continue;
                 }
-                // Back from the dead with state intact. A Measurement
-                // server announces liveness immediately: the Coordinator
-                // may have written it off and requeued its jobs, and the
-                // fresh heartbeat reopens the assignment path.
+                // Back from the dead: the node's restart edge (the
+                // Database recovers its durable prefix, a Measurement
+                // server beacons at once).
                 node.slot.crashed = false;
                 shim.node_restarts.inc();
-                match &mut node.slot.role {
-                    Role::Measurement { proto, .. } => proto.on_restart(now_ms, &mut out),
-                    Role::Database { proto } => {
-                        // The Database models genuine volatile-state
-                        // loss: the un-barriered WAL tail vanishes and
-                        // the store is rebuilt from the durable snapshot
-                        // + log prefix. The reliable channel forgets its
-                        // windows too (they lived in memory); peers
-                        // retransmit anything unacked. The event sink
-                        // below is a crash-recovery edge, not steady
-                        // state, and the TCP backend discards machine
-                        // events — the Vec never grows past empty.
-                        node.slot.chan.on_restart();
-                        // sheriff-lint: allow(hot-loop-allocation) — recovery edge; events are discarded
-                        let mut events = Vec::new();
-                        proto.on_restart(&mut events);
-                    }
-                    _ => {}
-                }
-                node.slot.chan.harden(&mut out);
+                node.slot.node.on_restart(now_ms, &mut out);
             }
             self.dispatch(local, &mut out, now_ms);
             work += 1;
@@ -281,7 +267,6 @@ impl Reactor {
             };
             let mut defer_to = None;
             {
-                let sink = Arc::clone(&self.ctx.sink);
                 let Some(node) = self.nodes.get_mut(local) else {
                     continue;
                 };
@@ -294,39 +279,10 @@ impl Reactor {
                     }
                 }
                 if defer_to.is_none() {
-                    match TimerKind::from_token(token) {
-                        None => {
-                            self.ctx.unknown_timers.inc();
-                            continue;
-                        }
-                        Some(TimerKind::Retransmit(seq)) => {
-                            if let Some((_, abandoned)) =
-                                node.slot.chan.on_retransmit(seq, &mut out)
-                            {
-                                if let Role::Peer { proto } = &mut node.slot.role {
-                                    proto.on_send_abandoned(&abandoned);
-                                    drain_peer(proto, &sink);
-                                }
-                            }
-                        }
-                        Some(kind) => match &mut node.slot.role {
-                            Role::Coordinator { proto, rng, .. } => {
-                                proto.on_timer(now_ms, kind, rng, &mut out);
-                            }
-                            Role::Measurement { proto, .. } => {
-                                // sheriff-lint: allow(hot-loop-allocation) — event sink stays empty on the TCP backend
-                                let mut events = Vec::new();
-                                proto.on_timer(now_ms, kind, &mut out, &mut events);
-                            }
-                            Role::Database { proto } => {
-                                // sheriff-lint: allow(hot-loop-allocation) — event sink stays empty on the TCP backend
-                                let mut events = Vec::new();
-                                proto.on_timer(kind, &mut out, &mut events);
-                            }
-                            _ => {}
-                        },
-                    }
-                    node.slot.chan.harden(&mut out);
+                    node.slot
+                        .node
+                        .on_timer(now_ms, token, &mut self.rng, &mut out);
+                    drain_peer(&mut node.slot.node, &self.ctx.sink);
                 }
             }
             if let Some(restart) = defer_to {
@@ -422,7 +378,7 @@ impl Reactor {
     /// early-return before any output exists. Split from the dispatch
     /// half so the scratch buffer is restored on every path.
     fn deliver_inner(&mut self, local: usize, env: Envelope, now_ms: u64, out: &mut Vec<Output>) {
-        let ctx = self.ctx.clone();
+        let ctx = &self.ctx;
         let Some(node) = self.nodes.get_mut(local) else {
             return;
         };
@@ -447,38 +403,10 @@ impl Reactor {
             }
             return;
         }
-        // The reliable layer acks, dedups and unwraps first; only
-        // genuinely new payloads reach the machine.
-        if let Some(msg) = node.slot.chan.accept(env.from, env.msg, out) {
-            match &mut node.slot.role {
-                Role::Coordinator { proto, rng, .. } => {
-                    proto.on_message(now_ms, env.from, msg, rng, out);
-                }
-                Role::Aggregator { proto } => proto.on_message(env.from, msg, out),
-                Role::Measurement { proto, .. } => {
-                    let mut events = Vec::new();
-                    proto.on_message(now_ms, env.from, msg, out, &mut events);
-                }
-                Role::Database { proto } => {
-                    let mut events = Vec::new();
-                    proto.on_message(now_ms, env.from, msg, out, &mut events);
-                }
-                Role::Ipc { proto } => {
-                    let mut world = ctx.world.lock();
-                    // sheriff-lint: allow(callback-under-lock) — the IPC machine's signature takes `&mut World`; the guard spans exactly this call and the world mutex is a leaf (no lock is ever taken inside a machine)
-                    proto.on_message(now_ms, env.from, msg, &mut world, out);
-                }
-                Role::Peer { proto } => {
-                    {
-                        let mut world = ctx.world.lock();
-                        // sheriff-lint: allow(callback-under-lock) — same shape as the Ipc arm: `&mut World` in the signature, leaf mutex, guard dropped before `drain_peer` touches the sink
-                        proto.on_message(now_ms, env.from, msg, &mut world, out);
-                    }
-                    drain_peer(proto, &ctx.sink);
-                }
-            }
-        }
-        node.slot.chan.harden(out);
+        node.slot
+            .node
+            .on_frame(now_ms, env.from, env.msg, &mut self.rng, out);
+        drain_peer(&mut node.slot.node, &ctx.sink);
     }
 
     /// Applies a machine's outputs: sends join the per-link write

@@ -10,9 +10,8 @@
 //! shards the same way — the soak tests recompute the layout to kill a
 //! whole shard deliberately.
 //!
-//! Everything protocol-visible stays byte-for-byte what the
-//! thread-per-node backend did: the [`Role`] enum and the fault-shim
-//! verdicts moved here unchanged; only the thread that runs them is new.
+//! Everything protocol-visible goes through the shared
+//! [`Node`] driver; the fault-shim verdicts are the DES engine's.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -20,55 +19,20 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
 
-use sheriff_core::protocol::{
-    Address, AggregatorProto, Channel, CoordinatorProto, DbProto, IpcProto, MeasurementProto,
-    PeerProto,
-};
-use sheriff_market::World;
+use sheriff_core::protocol::{Address, Machine, Node};
 use sheriff_netsim::{ByzDecision, ByzStats, ByzantinePlan, FaultPlan, FaultStats};
 use sheriff_telemetry::{Counter, Gauge, Registry};
 
 use crate::deploy::Sink;
 use crate::telemetry::WireTelemetry;
 
-/// One role machine plus whatever driver-side state it needs — the same
-/// enum the worker threads used to own, now driven by a shard reactor.
-pub(crate) enum Role {
-    Coordinator {
-        proto: Box<CoordinatorProto>,
-        rng: StdRng,
-        /// Period (and first-fire phase) of the §10.3 recovery sweep.
-        sweep_every_ms: u64,
-    },
-    Aggregator {
-        proto: AggregatorProto,
-    },
-    Measurement {
-        proto: Box<MeasurementProto>,
-        /// Liveness beacon period; also when the first beacon fires (a
-        /// fixed phase keeps deployment frame counts deterministic).
-        beacon_every_ms: u64,
-    },
-    Database {
-        proto: Box<DbProto>,
-    },
-    Ipc {
-        proto: Box<IpcProto>,
-    },
-    Peer {
-        proto: Box<PeerProto>,
-    },
-}
-
-/// Per-node protocol state inside a shard: the machine, its reliable
-/// channel, and the crash/stop flags the reactor's edges consult.
+/// Per-node state inside a shard: the protocol node and the
+/// crash/stop flags the reactor's edges consult.
 pub(crate) struct NodeSlot {
     /// Logical address (also the key into the directory).
     pub(crate) me: Address,
-    pub(crate) role: Role,
-    pub(crate) chan: Channel,
+    pub(crate) node: Node,
     /// Inside a scheduled crash window right now; flipping back to
     /// `false` is the restart edge.
     pub(crate) crashed: bool,
@@ -77,11 +41,10 @@ pub(crate) struct NodeSlot {
 }
 
 impl NodeSlot {
-    pub(crate) fn new(me: Address, role: Role, chan: Channel) -> NodeSlot {
+    pub(crate) fn new(me: Address, node: Node) -> NodeSlot {
         NodeSlot {
             me,
-            role,
-            chan,
+            node,
             crashed: false,
             stopped: false,
         }
@@ -95,7 +58,6 @@ pub(crate) struct ShardCtx {
     /// Logical address → listener socket address.
     pub(crate) dir: Arc<HashMap<Address, SocketAddr>>,
     pub(crate) wire: Arc<WireTelemetry>,
-    pub(crate) world: Arc<Mutex<World>>,
     /// Deployment start; virtual milliseconds are real elapsed time
     /// since this instant (the one place wall time enters the system).
     pub(crate) epoch: Instant,
@@ -107,7 +69,14 @@ pub(crate) struct ShardCtx {
     /// reactor's write edge exactly where the DES engine consults its
     /// twin, so both backends corrupt the same traffic.
     pub(crate) byz: Option<Arc<ByzShim>>,
-    pub(crate) unknown_timers: Arc<Counter>,
+    /// Seeds each shard's RNG; only the Coordinator draws from it.
+    pub(crate) seed: u64,
+    /// Period (and first-fire phase) of the Coordinator's §10.3
+    /// recovery sweep.
+    pub(crate) sweep_every_ms: u64,
+    /// Measurement liveness beacon period; also when the first beacon
+    /// fires (a fixed phase keeps deployment frame counts deterministic).
+    pub(crate) beacon_every_ms: u64,
     /// `wire.reactor_wakeups`: iterations that found work to do.
     pub(crate) wakeups: Arc<Counter>,
     /// `wire.shard_queue_depth`: high-water mark of pending work
@@ -237,8 +206,11 @@ impl ByzShim {
 }
 
 /// Moves a peer add-on's freshly observable outcomes into the shared
-/// sink, waking any `await_check` caller.
-pub(crate) fn drain_peer(proto: &mut PeerProto, sink: &Sink) {
+/// sink, waking any `await_check` caller. A no-op for other roles.
+pub(crate) fn drain_peer(node: &mut Node, sink: &Sink) {
+    let Machine::Peer { proto, .. } = node.machine_mut() else {
+        return;
+    };
     if proto.completed.is_empty() && proto.rejected.is_empty() && proto.server_removals.is_empty() {
         return;
     }

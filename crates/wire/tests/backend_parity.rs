@@ -8,13 +8,16 @@
 //! comparison is over the protocol-visible *content*: job ids, URLs, and
 //! the full sorted observation sets.
 
-use sheriff_core::records::PriceObservation;
-use sheriff_core::system::{PpcSpec, PriceSheriff, SheriffConfig};
+use std::sync::Arc;
+
+use sheriff_core::records::{PriceCheck, PriceObservation};
+use sheriff_core::system::{CompletedCheck, PpcSpec, PriceSheriff, SheriffConfig};
 use sheriff_geo::Country;
 use sheriff_market::pricing::{Browser, Os};
 use sheriff_market::world::WorldConfig;
 use sheriff_market::{ProductId, UserAgent, World};
 use sheriff_netsim::SimTime;
+use sheriff_telemetry::Snapshot;
 use sheriff_wire::MiniDeployment;
 
 const SEED: u64 = 4242;
@@ -43,8 +46,16 @@ fn sorted(mut obs: Vec<PriceObservation>) -> Vec<PriceObservation> {
     obs
 }
 
-#[test]
-fn same_seed_same_world_identical_observations_on_both_backends() {
+/// Both backends' runs of [`CHECKS`] over the same world and
+/// configuration.
+struct Runs {
+    des: Vec<CompletedCheck>,
+    des_telemetry: Snapshot,
+    tcp: Vec<PriceCheck>,
+    tcp_telemetry: Snapshot,
+}
+
+fn run_both() -> Runs {
     // --- Discrete-event run. Checks are submitted far enough apart that
     // each completes before the next is minted, matching the sequential
     // TCP client below (including the coordinator's load-based choices).
@@ -59,8 +70,6 @@ fn same_seed_same_world_identical_observations_on_both_backends() {
         );
     }
     sheriff.run_until(SimTime::from_mins(5));
-    let des: Vec<_> = sheriff.completed();
-    assert_eq!(des.len(), CHECKS.len(), "DES completed all checks");
     assert!(sheriff.rejections().is_empty());
 
     // --- TCP run over the same world and configuration.
@@ -75,7 +84,21 @@ fn same_seed_same_world_identical_observations_on_both_backends() {
                 .unwrap_or_else(|e| panic!("tcp check on {domain}: {e}")),
         );
     }
+    let registry = Arc::clone(deployment.telemetry());
     deployment.shutdown();
+
+    Runs {
+        des: sheriff.completed(),
+        des_telemetry: sheriff.telemetry().snapshot(),
+        tcp,
+        tcp_telemetry: registry.snapshot(),
+    }
+}
+
+#[test]
+fn same_seed_same_world_identical_observations_on_both_backends() {
+    let Runs { des, tcp, .. } = run_both();
+    assert_eq!(des.len(), CHECKS.len(), "DES completed all checks");
 
     // --- Same jobs, same result sets.
     for (d, t) in des.iter().zip(&tcp) {
@@ -93,5 +116,52 @@ fn same_seed_same_world_identical_observations_on_both_backends() {
             "observation sets diverge for {}",
             t.domain
         );
+    }
+}
+
+/// Both backends drive one protocol node per role and feed its events to
+/// one telemetry applier, so the protocol-level counters of a fault-free
+/// run agree exactly. Only `wire.*`/`netsim.*` (the transports) and the
+/// timing-bearing histogram *values* may differ.
+#[test]
+fn same_seed_same_world_identical_protocol_counters_on_both_backends() {
+    let Runs {
+        des_telemetry: des,
+        tcp_telemetry: tcp,
+        ..
+    } = run_both();
+    const PREFIXES: [&str; 5] = [
+        "coordinator.",
+        "measurement.",
+        "db.",
+        "defense.",
+        "protocol.",
+    ];
+    let protocol = |name: &String| PREFIXES.iter().any(|p| name.starts_with(p));
+    let des_names: Vec<&String> = des.counters.keys().filter(|n| protocol(n)).collect();
+    let tcp_names: Vec<&String> = tcp.counters.keys().filter(|n| protocol(n)).collect();
+    assert_eq!(
+        des_names, tcp_names,
+        "both backends publish the same counters"
+    );
+    // Non-vacuous: the TCP backend now reports what its machines did.
+    let checks = CHECKS.len() as u64;
+    assert_eq!(tcp.counters["measurement.jobs_finished"], checks);
+    assert_eq!(tcp.counters["db.wal_appends"], checks);
+    for name in des_names {
+        assert_eq!(
+            des.counters[name], tcp.counters[name],
+            "counter {name} diverges between backends"
+        );
+    }
+    for name in [
+        "measurement.fanout_latency_ms",
+        "measurement.assembly_cpu_ms",
+        "db.query_cost_ms",
+    ] {
+        let (Some(d), Some(t)) = (des.histograms.get(name), tcp.histograms.get(name)) else {
+            panic!("histogram {name} missing on a backend");
+        };
+        assert_eq!(d.count, t.count, "histogram {name} sample counts diverge");
     }
 }

@@ -1,17 +1,20 @@
-//! Coordinator failure paths over the TCP backend — the same scenarios
-//! `sheriff-core` exercises in simulation (heartbeat expiry mid-job,
-//! refusing to decommission a busy server) must hold when the protocol
-//! machines run behind real sockets, because the decisions live in
-//! `sheriff_core::protocol`, not in either transport.
+//! Failure paths over the TCP backend — the same scenarios `sheriff-core`
+//! exercises in simulation (heartbeat expiry mid-job, refusing to
+//! decommission a busy server, a `StoreCheck` the reliable channel gives
+//! up on) must hold when the protocol machines run behind real sockets,
+//! because the decisions live in `sheriff_core::protocol`, not in either
+//! transport.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use sheriff_core::system::{PpcSpec, SheriffConfig};
+use sheriff_core::system::{PpcSpec, PriceSheriff, SheriffConfig};
 use sheriff_geo::Country;
 use sheriff_market::pricing::{Browser, Os};
 use sheriff_market::world::WorldConfig;
 use sheriff_market::{ProductId, UserAgent, World};
+use sheriff_netsim::{FaultPlan, LinkFaults, SimTime};
+use sheriff_telemetry::Snapshot;
 use sheriff_wire::MiniDeployment;
 
 fn es_peers(n: u64) -> Vec<PpcSpec> {
@@ -114,4 +117,72 @@ fn remove_server_refused_while_busy_over_tcp() {
         Ok(d) => d.shutdown(),
         Err(_) => panic!("deployment still shared"),
     }
+}
+
+/// v2, one Measurement server, no IPCs, with a 1 ms retransmit base so
+/// the reliable channel's 16-attempt budget (backoff capped at 10 s) is
+/// spent in about 50 s instead of minutes.
+fn store_cut_cfg(seed: u64) -> SheriffConfig {
+    let mut cfg = SheriffConfig::fast(seed);
+    cfg.n_measurement_servers = 1;
+    cfg.ipc_locations.clear();
+    cfg.retransmit_base_ms = 1;
+    cfg
+}
+
+/// Node layout `[coordinator, aggregator, db, server, peers…]`: every
+/// frame from the Measurement server (3) to the Database (2) is lost,
+/// for the whole run — far past the give-up horizon.
+fn store_cut_plan() -> FaultPlan {
+    let dead = LinkFaults {
+        drop: 1.0,
+        ..LinkFaults::NONE
+    };
+    FaultPlan::new(5).with_link(3, 2, dead)
+}
+
+/// The check finished through the abandoned-`StoreCheck` path: the
+/// channel gave up, nothing reached the WAL, and the job still finished
+/// and was released at the Coordinator.
+fn assert_finished_through_give_up(snap: &Snapshot) {
+    assert!(snap.counters["protocol.retransmit_gave_up"] >= 1);
+    assert_eq!(snap.counters["db.wal_appends"], 0, "no store got through");
+    assert_eq!(snap.counters["measurement.jobs_finished"], 1);
+    assert_eq!(snap.counters["coordinator.jobs_completed"], 1);
+}
+
+/// A `StoreCheck` the reliable channel gives up on must still finish the
+/// job on both backends: the Measurement server's `on_send_abandoned`
+/// streams the results and releases the job upstream. The TCP reactor
+/// used to route give-ups to the PPC add-on only, so the check hung.
+#[test]
+fn abandoned_store_still_finishes_the_check_on_both_backends() {
+    let world = World::build(&WorldConfig::small(), 43);
+    let mut sheriff = PriceSheriff::new(store_cut_cfg(43), world, &es_peers(3));
+    sheriff.install_fault_plan(store_cut_plan());
+    sheriff.submit_check(SimTime::ZERO, 60, "steampowered.com", ProductId(0));
+    sheriff.run_until(SimTime::from_mins(3));
+    let done = sheriff.completed();
+    assert_eq!(done.len(), 1, "DES check finishes without its store");
+    assert_eq!(done[0].check.observations.len(), 3, "initiator + 2 peers");
+    assert_eq!(sheriff.pending_jobs_per_server(), vec![0], "no leaked job");
+    assert!(sheriff.database_checks().is_empty());
+    assert_finished_through_give_up(&sheriff.telemetry().snapshot());
+
+    let world = World::build(&WorldConfig::small(), 43);
+    let deployment =
+        MiniDeployment::start_with_faults(world, store_cut_cfg(43), &es_peers(3), store_cut_plan())
+            .expect("deployment starts");
+    let tag = deployment
+        .begin_check(60, "steampowered.com", ProductId(0))
+        .expect("check begins");
+    // Each wait is bounded at 30 s; the give-up lands after about 50 s.
+    let check = (0..3)
+        .find_map(|_| deployment.await_check(tag).ok())
+        .expect("TCP check finishes without its store");
+    assert_eq!(check.observations.len(), 3, "initiator + 2 peers");
+    let registry = Arc::clone(deployment.telemetry());
+    let recovered = deployment.shutdown_and_recover_db();
+    assert!(recovered.is_empty(), "nothing was stored");
+    assert_finished_through_give_up(&registry.snapshot());
 }
